@@ -147,16 +147,16 @@ struct ThreadedLockSpace::ResourceNode {
       } else {
         // Nobody will consume this grant — every waiter timed out, or the
         // node crashed between request and grant. Hand the CS straight
-        // back so the resource keeps flowing.
+        // back so the resource keeps flowing. Enqueued under client_mutex
+        // (on_grant runs on this strand, so this only queues): a lock()
+        // that sees requested == false must find its request behind this
+        // release, or the still-outstanding request would swallow it.
         requested = false;
+        const Epoch tag = epoch;
+        strand.post([this, tag] { release(tag); });
       }
     }
-    if (hand_off) {
-      client_cv.notify_all();
-      return;
-    }
-    const Epoch tag = epoch;  // on_grant runs on the strand
-    strand.post([this, tag] { release(tag); });
+    if (hand_off) client_cv.notify_all();
   }
 
   /// Publishes node->has_remote_request() at the end of every strand
@@ -534,6 +534,7 @@ void ThreadedLockSpace::unlock(ResourceId r, NodeId v) {
   int chain_arg = 0;
   int ended_chain = 0;  // lease window closed at this length (0 = none)
   bool yielded_with_waiters = false;
+  bool claimed = false;  // this thread owns the strand's next activation
   {
     std::lock_guard<std::mutex> guard(x.client_mutex);
     if (!x.held) {
@@ -597,15 +598,21 @@ void ThreadedLockSpace::unlock(ResourceId r, NodeId v) {
       x.chain_len = 0;
       yielded_with_waiters = x.waiting > 0;
       // Strand FIFO orders the release ahead of the follow-up request,
-      // and posting under client_mutex keeps a racing lock() on another
+      // and enqueueing under client_mutex keeps a racing lock() on another
       // thread from slipping its request in between.
-      x.strand.post([&x, tag] { x.release(tag); });
+      claimed = x.strand.push([&x, tag] { x.release(tag); });
       if (x.waiting > 0 && !x.requested) {
         x.requested = true;
-        x.strand.post([&x, tag] { x.request(tag); });
+        // Claims only if a worker drained the release in between.
+        claimed = x.strand.push([&x, tag] { x.request(tag); }) || claimed;
       }
     }
   }
+  // Drain on this thread, off client_mutex (on_grant and fail() take
+  // client mutexes): the release, the token's delivery through route()'s
+  // dispatch and the next holder's on_grant all run here, so the only
+  // cross-thread step left in the hand-off is the next holder's wake.
+  if (claimed) x.strand.run_claimed();
   // Telemetry off the client mutex.
   if (hold_started_ns != 0 && telemetry::sample_1_in_8()) {
     telemetry::observe(hold_hist_, release_ns - hold_started_ns);
@@ -845,6 +852,14 @@ std::uint64_t ThreadedLockSpace::entries(ResourceId r) const {
       std::memory_order_relaxed);
 }
 
+bool ThreadedLockSpace::granted_or_held(ResourceId r, NodeId v) {
+  DMX_CHECK(v >= 1 && v <= config_.n);
+  DMX_CHECK(r >= 0 && r < resource_count());
+  ResourceNode& x = rn(r, v);
+  std::lock_guard<std::mutex> guard(x.client_mutex);
+  return x.granted || x.held;
+}
+
 int ThreadedLockSpace::local_waiters(ResourceId r, NodeId v) {
   DMX_CHECK(v >= 1 && v <= config_.n);
   DMX_CHECK(r >= 0 && r < resource_count());
@@ -896,8 +911,10 @@ void ThreadedLockSpace::route(ResourceId r, NodeId from, NodeId to,
           std::memory_order_relaxed)) {
     return;
   }
+  // Runs the delivery inline when called from an inline drain (a client's
+  // unlock); on a pool worker this is a plain post.
   ResourceNode& x = rn(r, to);
-  x.strand.post([&x, from, tag, msg = std::move(message)]() mutable {
+  x.strand.dispatch([&x, from, tag, msg = std::move(message)]() mutable {
     x.deliver(tag, from, std::move(msg));
   });
 }

@@ -11,6 +11,12 @@
 // thread and capped the service at ~1.6x a single resource no matter how
 // many resources it carried.
 //
+// The thread calling unlock() runs protocol handlers: it drains its own
+// strand's release inline (exec::Strand::run_claimed), and the token
+// message that release sends is delivered — and the next holder granted —
+// on the same thread, so a hand-off costs no pool hop. Requests from
+// lock() stay pool posts.
+//
 // The client API is blocking: lock(r, v) parks the calling application
 // thread until node v holds resource r's critical section; ScopedLock is
 // the RAII sugar. Multiple application threads may contend for the same
@@ -159,6 +165,10 @@ class ThreadedLockSpace {
   /// try_lock_for() on `r`. Test observability for the FIFO hand-off
   /// queue; racy by nature, stable once the callers are known parked.
   int local_waiters(ResourceId r, NodeId v);
+  /// Whether node `v` has a grant of `r` latched for its front waiter
+  /// (set, not yet consumed) or already holds `r`. Test observability for
+  /// the hand-off path.
+  bool granted_or_held(ResourceId r, NodeId v);
 
   /// First protocol or exclusivity error observed on any thread, if any.
   std::optional<std::string> first_error() const;

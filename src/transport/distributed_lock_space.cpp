@@ -150,16 +150,14 @@ struct DistributedLockSpace::ResourceNode {
         hand_off = true;
       } else {
         // Every waiter timed out; hand the CS straight back so the
-        // resource keeps flowing (mirrors the threaded substrate).
+        // resource keeps flowing (mirrors the threaded substrate, which
+        // says why the release is enqueued under client_mutex).
         requested = false;
+        const Epoch tag = epoch;
+        strand.post([this, tag] { release(tag); });
       }
     }
-    if (hand_off) {
-      client_cv.notify_all();
-      return;
-    }
-    const Epoch tag = epoch;  // on_grant runs on the strand
-    strand.post([this, tag] { release(tag); });
+    if (hand_off) client_cv.notify_all();
   }
 
   DistributedLockSpace& space;
@@ -900,6 +898,7 @@ void DistributedLockSpace::unlock(ResourceId r) {
   int chain_arg = 0;
   int ended_chain = 0;  // lease window closed at this length (0 = none)
   bool yielded_with_waiters = false;
+  bool claimed = false;  // this thread owns the strand's next activation
   {
     std::lock_guard<std::mutex> guard(x.client_mutex);
     DMX_CHECK_MSG(x.held, "unlock of resource " << name(r)
@@ -955,13 +954,25 @@ void DistributedLockSpace::unlock(ResourceId r) {
       x.chain_len = 0;
       yielded_with_waiters = x.waiting > 0;
       // Strand FIFO orders the release ahead of the follow-up request,
-      // and posting under client_mutex keeps a racing lock() on another
+      // and enqueueing under client_mutex keeps a racing lock() on another
       // thread from slipping its request in between.
-      x.strand.post([&x, tag] { x.release(tag); });
+      claimed = x.strand.push([&x, tag] { x.release(tag); });
       if (x.waiting > 0 && !x.requested) {
         x.requested = true;
-        x.strand.post([&x, tag] { x.request(tag); });
+        // Claims only if a worker drained the release in between.
+        claimed = x.strand.push([&x, tag] { x.request(tag); }) || claimed;
       }
+    }
+  }
+  // Drain on this thread, off client_mutex (on_grant and fail() take it):
+  // the release encodes its token frame here instead of after a pool hop.
+  // Never on the loop thread — a send there that waited on backpressure
+  // would wait for a drain only that thread performs.
+  if (claimed) {
+    if (loop_->on_loop_thread()) {
+      x.strand.post_claimed();
+    } else {
+      x.strand.run_claimed();
     }
   }
   // Telemetry off the client mutex.

@@ -36,7 +36,13 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+/// The loop whose thread this is (nullptr elsewhere), for
+/// on_loop_thread().
+thread_local const EventLoop* tl_loop = nullptr;
+
 }  // namespace
+
+bool EventLoop::on_loop_thread() const { return tl_loop == this; }
 
 /// One TCP link. The fd, read buffer, and epoll registration belong to
 /// the loop thread; the outbox and its flags are shared with senders
@@ -426,6 +432,7 @@ void EventLoop::handle_readable(Peer& peer) {
 void EventLoop::handle_writable(Peer& peer) { flush(peer); }
 
 void EventLoop::loop() {
+  tl_loop = this;
   bool goodbyes_sent = false;
   std::chrono::steady_clock::time_point drain_deadline{};
   struct epoll_event events[64];

@@ -121,6 +121,9 @@ class EventLoop {
   bool send(NodeId to, Epoch epoch, ResourceId resource,
             const net::Message& message, bool block_on_backpressure = true);
 
+  /// True when called from this loop's own thread.
+  bool on_loop_thread() const;
+
   const EventLoopStats& stats() const { return stats_; }
 
   /// First transport-level error observed (malformed frame, socket

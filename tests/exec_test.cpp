@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -352,6 +353,241 @@ TEST(StrandTest, HotStrandCannotStarveItsNeighbours) {
   }
   EXPECT_EQ(hot_done.load(), 10000);
   executor.shutdown();
+}
+
+TEST(StrandTest, InlineDrainsAndPoolActivationsKeepFifoWithoutOverlap) {
+  // The two-phase enqueue under contention: four application threads
+  // push-and-drain on their own threads (the unlock pattern: two pushes,
+  // then run_claimed if either claimed) while four more post the same
+  // strands through the pool, under 8 workers. Every task also dispatches
+  // a follow-up to a neighbour strand, so inline drains exercise the
+  // trampoline and pool activations exercise dispatch-as-post. Per
+  // (producer, strand) order must be FIFO and no strand may ever run two
+  // tasks at once.
+  constexpr int kStrands = 8;
+  constexpr int kProducers = 8;  // 0-3 drain inline, 4-7 post
+  constexpr int kRounds = 150;   // two tasks per round per strand
+  Executor executor(ExecutorConfig{8, 16});
+
+  struct StrandState {
+    std::unique_ptr<Strand> strand;
+    // Written only by strand tasks: the last sequence seen per producer.
+    std::vector<int> last_seen = std::vector<int>(kProducers, -1);
+    int misordered = 0;
+    std::atomic<int> in_flight{0};
+    std::atomic<int> overlaps{0};
+  };
+  std::vector<StrandState> strands(kStrands);
+  for (auto& state : strands) {
+    state.strand = std::make_unique<Strand>(executor);
+  }
+  std::atomic<int> executed{0};
+  std::atomic<int> follow_ups{0};
+
+  const auto make_task = [&strands, &executed, &follow_ups](int s, int p,
+                                                            int seq) {
+    return [&strands, &executed, &follow_ups, s, p, seq] {
+      StrandState& state = strands[static_cast<std::size_t>(s)];
+      if (state.in_flight.fetch_add(1) != 0) state.overlaps.fetch_add(1);
+      int& last = state.last_seen[static_cast<std::size_t>(p)];
+      if (seq != last + 1) ++state.misordered;
+      last = seq;
+      state.in_flight.fetch_sub(1);
+      StrandState& next =
+          strands[static_cast<std::size_t>((s + 1) % kStrands)];
+      next.strand->dispatch([&next, &follow_ups] {
+        if (next.in_flight.fetch_add(1) != 0) next.overlaps.fetch_add(1);
+        next.in_flight.fetch_sub(1);
+        follow_ups.fetch_add(1);
+      });
+      executed.fetch_add(1);
+    };
+  };
+
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&strands, &make_task, p] {
+      int seq = 0;
+      for (int round = 0; round < kRounds; ++round) {
+        for (int s = 0; s < kStrands; ++s) {
+          Strand& strand = *strands[static_cast<std::size_t>(s)].strand;
+          if (p < 4) {
+            bool claimed = strand.push(make_task(s, p, seq));
+            claimed = strand.push(make_task(s, p, seq + 1)) || claimed;
+            if (claimed) strand.run_claimed();
+          } else {
+            strand.post(make_task(s, p, seq));
+            strand.post(make_task(s, p, seq + 1));
+          }
+        }
+        seq += 2;
+      }
+    });
+  }
+  for (auto& producer : producers) producer.join();
+
+  constexpr int kTotal = kProducers * kRounds * kStrands * 2;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while ((executed.load() < kTotal || follow_ups.load() < kTotal) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  executor.shutdown();
+
+  EXPECT_EQ(executed.load(), kTotal);
+  EXPECT_EQ(follow_ups.load(), kTotal);
+  for (int s = 0; s < kStrands; ++s) {
+    const StrandState& state = strands[static_cast<std::size_t>(s)];
+    EXPECT_EQ(state.overlaps.load(), 0) << "strand " << s;
+    EXPECT_EQ(state.misordered, 0) << "strand " << s;
+    for (int p = 0; p < kProducers; ++p) {
+      EXPECT_EQ(state.last_seen[static_cast<std::size_t>(p)],
+                kRounds * 2 - 1)
+          << "strand " << s << " producer " << p;
+    }
+  }
+}
+
+TEST(StrandTest, DispatchChainRunsFlatThenOverflowsToThePool) {
+  // A chain across 64 strands started from an application thread: each
+  // strand's task dispatches the next. Inline, the chain must not recurse
+  // (the trampoline queues each hop behind the current drain), and the
+  // calling thread runs only 1 + kTrampolineSlots activations; the rest
+  // of the chain runs on the pool.
+  constexpr int kStrands = 64;
+  Executor executor(ExecutorConfig{2, 16});
+  std::vector<std::unique_ptr<Strand>> strands;
+  for (int i = 0; i < kStrands; ++i) {
+    strands.push_back(std::make_unique<Strand>(executor));
+  }
+  struct Hop {
+    std::thread::id thread;
+    bool on_worker = false;
+    int depth = 0;  // hop frames live on this thread's stack, incl. this one
+  };
+  std::vector<Hop> hops(kStrands);
+  std::atomic<int> done{0};
+  static thread_local int depth = 0;
+
+  std::function<void(int)> hop = [&](int i) {
+    ++depth;
+    Hop& record = hops[static_cast<std::size_t>(i)];
+    record.thread = std::this_thread::get_id();
+    record.on_worker = executor.on_worker_thread();
+    record.depth = depth;
+    if (i + 1 < kStrands) {
+      strands[static_cast<std::size_t>(i + 1)]->dispatch(
+          [&hop, i] { hop(i + 1); });
+    }
+    --depth;
+    done.fetch_add(1);
+  };
+  strands[0]->dispatch([&hop] { hop(0); });
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (done.load() < kStrands &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(done.load(), kStrands);
+  executor.shutdown();
+
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int i = 0; i < kStrands; ++i) {
+    const Hop& record = hops[static_cast<std::size_t>(i)];
+    EXPECT_EQ(record.depth, 1) << "hop " << i << " ran nested";
+    if (i <= Strand::kTrampolineSlots) {
+      EXPECT_EQ(record.thread, caller) << "hop " << i;
+      EXPECT_FALSE(record.on_worker) << "hop " << i;
+    } else {
+      EXPECT_NE(record.thread, caller) << "hop " << i;
+      EXPECT_TRUE(record.on_worker) << "hop " << i;
+    }
+  }
+}
+
+TEST(StrandTest, DispatchOnAWorkerThreadNeverRunsInline) {
+  // One worker: a task on strand `a` dispatches to idle strand `b`, and
+  // claims idle strand `c` through push() + run_claimed(). Run inline,
+  // either task would finish before the call returned; posted, neither can
+  // start until a's task yields the only worker.
+  Executor executor(ExecutorConfig{1, 16});
+  Strand a(executor);
+  Strand b(executor);
+  Strand c(executor);
+  std::atomic<int> runs{0};
+  std::atomic<int> runs_on_worker{0};
+  int runs_after_dispatch = -1;     // written by a's task
+  int runs_after_run_claimed = -1;  // written by a's task
+  const auto count_run = [&runs, &runs_on_worker, &executor] {
+    if (executor.on_worker_thread()) runs_on_worker.fetch_add(1);
+    runs.fetch_add(1);
+  };
+  a.post([&] {
+    b.dispatch(count_run);
+    runs_after_dispatch = runs.load();
+    if (c.push(count_run)) c.run_claimed();
+    runs_after_run_claimed = runs.load();
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (runs.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  executor.shutdown();
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_EQ(runs_on_worker.load(), 2);
+  EXPECT_EQ(runs_after_dispatch, 0);
+  EXPECT_EQ(runs_after_run_claimed, 0);
+}
+
+TEST(StrandTest, InlineDrainPastTheBatchRequeuesToThePool) {
+  // An inline drain is bounded like a pool activation: after kBatch tasks
+  // the calling thread stops and the strand requeues through submit_fair,
+  // so the remainder runs as one pool activation, still in FIFO order.
+  constexpr int kTasks = Strand::kBatch + 8;
+  Executor executor(ExecutorConfig{2, 16});
+  Strand strand(executor);
+  std::vector<int> order;  // strand-confined
+  std::vector<char> on_worker(kTasks, 0);
+  std::atomic<int> done{0};
+  bool claimed = false;
+  for (int i = 0; i < kTasks; ++i) {
+    const bool claim =
+        strand.push([&order, &on_worker, &done, &executor, i] {
+          order.push_back(i);
+          on_worker[static_cast<std::size_t>(i)] =
+              executor.on_worker_thread() ? 1 : 0;
+          done.fetch_add(1);
+        });
+    EXPECT_EQ(claim, i == 0) << "only the push onto the idle strand claims";
+    claimed = claimed || claim;
+  }
+  ASSERT_TRUE(claimed);
+  EXPECT_EQ(executor.tasks_executed(), 0u);
+  strand.run_claimed();
+  EXPECT_GE(done.load(), Strand::kBatch);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (done.load() < kTasks &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(done.load(), kTasks);
+  executor.shutdown();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    EXPECT_EQ(on_worker[static_cast<std::size_t>(i)] != 0,
+              i >= Strand::kBatch)
+        << "task " << i;
+  }
+  // The remainder was one requeued activation on the pool.
+  EXPECT_EQ(executor.tasks_executed(), 1u);
+  EXPECT_EQ(strand.executed(), static_cast<std::uint64_t>(kTasks));
 }
 
 }  // namespace

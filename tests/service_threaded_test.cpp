@@ -5,6 +5,7 @@
 // short.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -402,6 +403,11 @@ TEST(ThreadedLockSpace, LeaseCapYieldsTheTokenBackToTheProtocol) {
     threads.emplace_back([&space] {
       for (int i = 0; i < 25; ++i) {
         ScopedLock guard(space, ResourceId{0}, NodeId{2});
+        // Hold briefly so the other clients are parked at each release: a
+        // client that gets the CPU alone can otherwise run all its entries
+        // before another even asks, and then no release has a waiter to
+        // yield past.
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
     });
   }
@@ -457,6 +463,53 @@ TEST(ThreadedLockSpace, ChainingSurvivesRemoteContentionExactly) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(counter, static_cast<long long>(n) * threads_per_node * rounds);
   EXPECT_GT(space.chained_grants(), 0u);
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
+}
+
+TEST(ThreadedLockSpace, UnlockHandsTheTokenOffWithoutAPoolHop) {
+  // The hand-off path the threaded substrate's latency rests on: with a
+  // remote waiter parked and its request already received by the holder,
+  // unlock() runs the release, delivers the token and latches the
+  // waiter's grant on the calling thread. The pool runs nothing, so the
+  // only cross-thread step left is the waiter's wake.
+  ThreadedLockSpaceConfig config = make_config(2, 1);
+  config.workers = 2;
+  ThreadedLockSpace space(std::move(config));
+  const ResourceId r = 0;
+  const NodeId holder = space.home_node(r);
+  const NodeId waiter = holder == 1 ? 2 : 1;
+
+  space.lock(r, holder);
+  std::atomic<bool> checked{false};
+  std::thread parked([&space, &checked, r, waiter] {
+    space.lock(r, waiter);
+    // Hold until the checks below ran, so "held" cannot lapse under them.
+    while (!checked.load()) std::this_thread::yield();
+    space.unlock(r, waiter);
+  });
+  // Pool tasks so far: the holder's request, the waiter's request, and
+  // the delivery of that request to the holder. The counter moves after
+  // a task returns, so reaching 3 means the holder has seen the request.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((space.local_waiters(r, waiter) != 1 ||
+          space.telemetry_snapshot().counter("exec.tasks_executed") < 3) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::uint64_t before =
+      space.telemetry_snapshot().counter("exec.tasks_executed");
+  ASSERT_EQ(before, 3u);
+  ASSERT_FALSE(space.granted_or_held(r, waiter));
+
+  space.unlock(r, holder);
+  EXPECT_EQ(space.telemetry_snapshot().counter("exec.tasks_executed"),
+            before);
+  EXPECT_TRUE(space.granted_or_held(r, waiter));
+  checked.store(true);
+  parked.join();
+  EXPECT_EQ(space.entries(r), 2u);
   EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
 }
 
